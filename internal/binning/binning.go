@@ -22,9 +22,11 @@
 package binning
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
@@ -406,7 +408,10 @@ func mergeIPBins(bins []Bin, noisy []float64, threshold float64, maxBins int) ([
 				next = append(next, entry{base, c})
 			}
 		}
-		// Re-expand pending groups to address entries for regrouping.
+		// Pending groups regroup at the next level in address order:
+		// summing them in map order would make the merged noisy counts
+		// differ in their last bits from run to run.
+		slices.SortFunc(next, func(a, b entry) int { return cmp.Compare(a.addr, b.addr) })
 		low = next
 		if len(low) == 0 {
 			break

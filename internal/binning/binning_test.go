@@ -1,6 +1,7 @@
 package binning
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -347,5 +348,52 @@ func TestDecodeShapeMismatch(t *testing.T) {
 	bad := dataset.NewEncoded([]string{"x"}, []int{2}, 5)
 	if _, err := enc.Decode(bad, DecodeOptions{}); err == nil {
 		t.Fatal("arity mismatch must error")
+	}
+}
+
+// TestBuildIPMergeDeterministic checks that the IP merge is a pure
+// function of its input: light addresses that stay under the threshold
+// at /30 are regrouped at wider prefixes, and the regrouped noisy sums
+// must not depend on map iteration order. Repeated builds must give
+// bit-identical NoisyCounts.
+func TestBuildIPMergeDeterministic(t *testing.T) {
+	s := dataset.MustSchema(dataset.Field{Name: "srcip", Kind: dataset.KindIP})
+	tab := dataset.NewTable(s, 4096)
+	base := int64(0x0A000000)
+	// One address per /30 over 64 /26 blocks: finalized at /26.
+	for i := int64(0); i < 1024; i++ {
+		tab.AppendRow([]int64{base + 4*i})
+	}
+	// One address per /26 over 64 /22 blocks: finalized at /22.
+	base2 := int64(0x0B000000)
+	for i := int64(0); i < 1024; i++ {
+		tab.AppendRow([]int64{base2 + 64*i})
+	}
+	build := func() *Attr {
+		enc, err := Build(tab, DefaultConfig(), 0.5, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &enc.Attrs[0]
+	}
+	first := build()
+	levels := map[int64]bool{}
+	for _, b := range first.Bins {
+		levels[b.Width()] = true
+	}
+	if len(levels) < 2 {
+		t.Fatalf("input finalizes bins at %d prefix level(s), want ≥ 2", len(levels))
+	}
+	want := first.NoisyCounts
+	for rep := 0; rep < 20; rep++ {
+		got := build().NoisyCounts
+		if len(got) != len(want) {
+			t.Fatalf("build %d: %d bins, want %d", rep, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("build %d: NoisyCounts[%d] = %v, want %v (bit-identical)", rep, i, got[i], want[i])
+			}
+		}
 	}
 }

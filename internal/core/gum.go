@@ -147,13 +147,21 @@ func (g *GUM) Run(ds *dataset.Encoded) []float64 {
 // run is Run on a caller-provided worker pool (the pipeline threads
 // its engine through so stage timings capture GUM's busy time).
 //
-// Each round snapshots the dataset, plans every marginal's update
-// pass against that snapshot concurrently, then applies the plans
-// sequentially in marginal order. Planning — the O(records × attrs)
-// hot path that dominates end-to-end runtime — is a pure function of
-// (snapshot, target, alpha, per-pass RNG), so the fan-out cannot
-// perturb the output: a pass's RNG derives from (Seed, round,
-// marginal index), never from worker identity or completion order.
+// Each round plans every marginal's update pass against ds
+// concurrently, then applies the plans sequentially in marginal
+// order. Planning only reads ds and every apply waits for the whole
+// planning fan-out, so every plan sees ds as it stood before the
+// round. A plan — the O(records × attrs) hot path that dominates
+// end-to-end runtime — is a pure function of (ds, target, alpha,
+// per-pass RNG), so the fan-out cannot perturb the output: a pass's
+// RNG derives from (Seed, round, marginal index), never from worker
+// identity or completion order.
+//
+// Once alpha has decayed, most plans draw all-zero move quotas and
+// change nothing. A marginal whose attributes no applied move has
+// written since its last full plan still has that plan's gaps, so it
+// replays only the quota draws from them (see planTarget) and pays
+// for a re-tally only when a quota comes out non-zero.
 func (g *GUM) run(ds *dataset.Encoded, eng *engine) []float64 {
 	n := ds.NumRows()
 	if n == 0 || len(g.targets) == 0 {
@@ -161,11 +169,11 @@ func (g *GUM) run(ds *dataset.Encoded, eng *engine) []float64 {
 	}
 	errs := make([]float64, 0, g.cfg.Iterations)
 	alpha := g.cfg.InitAlpha
-	snap := dataset.NewEncoded(ds.Names, ds.Domains, n)
 	// Steady-state arenas: one plan per target (its moves/row buffers
-	// live until the sequential apply, then are reused next round)
-	// and one scratch per worker slot (reused across every
-	// (round, marginal) task that slot runs — see gumScratch).
+	// live until the sequential apply, then are reused next round; its
+	// gap cache lives until a move dirties the target) and one scratch
+	// per worker slot (reused across every (round, marginal) task that
+	// slot runs — see gumScratch).
 	plans := make([]gumPlan, len(g.targets))
 	scratch := make([]*gumScratch, eng.workers)
 	maxAttrs := 0
@@ -175,32 +183,19 @@ func (g *GUM) run(ds *dataset.Encoded, eng *engine) []float64 {
 		}
 	}
 	codes := make([]int32, maxAttrs) // applyPlan's cell-decode buffer
+	dirty := make([]bool, len(ds.Cols))
 	// Chunked plan fan-out: with a huge published-marginal store the
 	// per-task handout overhead (one atomic claim plus busy-clock
 	// sampling per marginal) starts to show, so tasks are claimed in
 	// contiguous shards of ~4 chunks per worker — small enough to
 	// balance uneven marginal sizes, large enough to amortize the
 	// handout. Scheduling never reaches the output (plans are pure
-	// functions of (snapshot, target, alpha, seed)).
+	// functions of (ds, target, alpha, seed)).
 	planChunk := len(g.targets) / (eng.workers * 4)
 	if planChunk > 64 {
 		planChunk = 64
 	}
-	// Dirty-column tracking: ds differs from snap only in columns the
-	// previous round's moves touched (a duplicate move rewrites every
-	// column, a replace move only its marginal's attributes), so the
-	// per-round snapshot re-copies just those instead of the whole
-	// table.
-	dirty := make([]bool, len(ds.Cols))
-	allDirty := true // first round: snap starts zeroed
 	for it := 0; it < g.cfg.Iterations; it++ {
-		for a := range ds.Cols {
-			if allDirty || dirty[a] {
-				copy(snap.Cols[a], ds.Cols[a])
-				dirty[a] = false
-			}
-		}
-		allDirty = false
 		base := it * len(g.targets)
 		eng.parallelForWorkerChunked(len(g.targets), planChunk, func(w, ti int) {
 			sc := scratch[w]
@@ -209,71 +204,131 @@ func (g *GUM) run(ds *dataset.Encoded, eng *engine) []float64 {
 				scratch[w] = sc
 			}
 			seed := taskSeed(g.cfg.Seed, "gum-update", base+ti)
-			sc.reseed(seed)
-			planUpdate(snap, g.targets[ti], alpha, g.cfg.DuplicateProb, sc, &plans[ti])
+			planTarget(ds, g.targets[ti], alpha, g.cfg.DuplicateProb, seed, sc, &plans[ti])
 		})
-		var roundErr float64
-		for ti, t := range g.targets {
-			p := &plans[ti]
-			roundErr += p.l1
-			applyPlan(ds, t.m, p, codes)
-			if p.dups > 0 {
-				allDirty = true
-			} else if len(p.moves) > 0 {
-				for _, a := range t.m.Attrs {
-					dirty[a] = true
-				}
-			}
-		}
+		roundErr := g.applyRound(ds, plans, codes, dirty)
 		errs = append(errs, roundErr/float64(len(g.targets))/float64(n))
 		alpha *= g.cfg.AlphaDecay
 	}
 	return errs
 }
 
+// applyRound applies the round's plans to ds in marginal order and
+// returns their summed L1 error. It then drops the clean mark of
+// every plan that reads a column the round wrote: a replace move
+// writes its marginal's attributes, a duplicate move every column.
+// dirty is a per-column buffer owned by the caller.
+func (g *GUM) applyRound(ds *dataset.Encoded, plans []gumPlan, codes []int32, dirty []bool) float64 {
+	clear(dirty)
+	var roundErr float64
+	for ti, t := range g.targets {
+		p := &plans[ti]
+		roundErr += p.l1
+		applyPlan(ds, t.m, p, codes)
+		if p.dups > 0 {
+			for a := range dirty {
+				dirty[a] = true
+			}
+		} else if len(p.moves) > 0 {
+			for _, a := range t.m.Attrs {
+				dirty[a] = true
+			}
+		}
+	}
+	for ti, t := range g.targets {
+		for _, a := range t.m.Attrs {
+			if dirty[a] {
+				plans[ti].clean = false
+				break
+			}
+		}
+	}
+	return roundErr
+}
+
 // gumMove is one planned record rewrite: duplicate a full source row
 // over r (rowOff ≥ 0, an offset into the plan's rowBuf, preserving
 // the source's cross-marginal correlations), or overwrite r's
 // marginal attributes with the codes of cell (rowOff < 0). The
-// duplicate captures the source record's snapshot codes at planning
-// time, so applying a plan cannot be invalidated by an earlier
-// marginal's moves in the same round.
+// duplicate captures the source record's codes at planning time,
+// before any of the round's applies, so applying a plan cannot be
+// invalidated by an earlier marginal's moves in the same round.
 type gumMove struct {
 	r      int
 	cell   int
 	rowOff int
 }
 
-// gumPlan is one marginal's update pass: the L1 error measured on the
-// round snapshot and the record moves to apply. The move and row
-// buffers are owned by the plan and recycled across rounds (a plan
-// must stay readable until the round's sequential apply, so the
+// gumPlan is one marginal's update pass: the L1 error measured on ds
+// before the round's applies, and the record moves to apply. The move
+// and row buffers are owned by the plan and recycled across rounds (a
+// plan must stay readable until the round's sequential apply, so the
 // buffers cannot live in the per-worker scratch).
+//
+// The plan also caches the gaps of its last full plan: the over list
+// (cell-sorted, the order the quota draws consume the RNG in), the
+// under count and l1. They stay valid while clean is set, i.e. while
+// no applied move has written any of the marginal's attributes.
 type gumPlan struct {
 	l1     float64
 	moves  []gumMove
 	rowBuf []int32 // duplicate moves' captured rows, nAttrs each
 	dups   int     // duplicate moves planned (they dirty every column)
+
+	over  []cellGap // cells above target by more than gumDust
+	under int       // cells below target by more than gumDust
+	clean bool
 }
 
-// reset clears the plan for reuse, keeping the buffers.
+// reset clears the plan's moves for reuse, keeping the buffers and
+// the gap cache.
 func (p *gumPlan) reset() {
-	p.l1 = 0
 	p.moves = p.moves[:0]
 	p.rowBuf = p.rowBuf[:0]
 	p.dups = 0
 }
 
-// planUpdate computes one marginal's update pass against the round
-// snapshot into plan: the planned moves plus the L1 error before the
-// update. It reads only ds and the (freshly reseeded) scratch RNG, so
-// concurrent plans are safe and reproducible; all working memory
-// comes from the scratch arena and the plan's own buffers, so the
-// steady state allocates ~nothing. The dense (float64 or Cells32)
-// and sparse counting paths are byte-identical by contract: every
-// ordered traversal — and in particular every RNG draw — happens in
-// ascending cell order (or the gap-sorted under order), never in map
-// order.
+// planTarget runs one (round, marginal) task. A clean plan replays
+// only its phase-3 quota draws from the cached over list: if they all
+// round to zero the full plan would move nothing, and since the
+// plan's RNG is discarded afterwards, the cached l1 with no moves is
+// exactly its result. (A clean plan holds no moves: any move writes
+// its own marginal's attributes, so applyRound drops the mark.)
+// Otherwise the RNG is reseeded and the full plan runs, drawing the
+// same quotas again.
+func planTarget(ds *dataset.Encoded, t *target, alpha, dupProb float64, seed uint64, sc *gumScratch, plan *gumPlan) {
+	sc.reseed(seed)
+	if plan.clean && plan.quiet(sc.rng, alpha) {
+		return
+	}
+	sc.reseed(seed)
+	planUpdate(ds, t, alpha, dupProb, sc, plan)
+}
+
+// quiet reports whether the cached gaps plan no moves at alpha,
+// consuming the same quota draws a full plan would.
+func (p *gumPlan) quiet(rng *rand.Rand, alpha float64) bool {
+	if len(p.over) == 0 || p.under == 0 || alpha <= 0 {
+		return true
+	}
+	for _, o := range p.over {
+		if stochasticRound(rng, o.Gap*alpha) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// planUpdate computes one marginal's update pass against ds into
+// plan: the planned moves plus the L1 error before the update, and
+// the refreshed gap cache. It reads only ds and the (freshly
+// reseeded) scratch RNG, so concurrent plans are safe and
+// reproducible; all working memory comes from the scratch arena and
+// the plan's own buffers, so the steady state allocates ~nothing. The
+// dense (float64 or Cells32) and sparse counting paths are
+// byte-identical by contract: every ordered traversal — and in
+// particular every RNG draw — happens in ascending cell order (or the
+// gap-sorted under order), never in map order.
 func planUpdate(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumScratch, plan *gumPlan) {
 	plan.reset()
 	if !t.dense {
@@ -337,7 +392,7 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 	// way the traversal is ascending-cell, which fixes the FP
 	// accumulation order of l1 and leaves over already cell-sorted —
 	// the order the quota draws consume the RNG in.
-	over, under := sc.over[:0], sc.under[:0]
+	over, under := plan.over[:0], sc.under[:0]
 	var l1 float64
 	if cells <= gumSweepFactor*(len(sc.touched)+len(t.tcells)) {
 		over, under, l1 = kernels.GapSweep(vals, sc.stamp, countE, t.counts, t.tcells, gumDust, over, under)
@@ -345,20 +400,21 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 		slices.Sort(sc.touched)
 		over, under, l1 = kernels.GapMerge(sc.touched, vals, t.counts, t.tcells, gumDust, over, under)
 	}
-	sc.over, sc.under = over, under
-	plan.l1 = l1
+	sc.under = under
+	plan.over, plan.under, plan.l1, plan.clean = over, len(under), l1, true
 	if len(over) == 0 || len(under) == 0 || alpha <= 0 {
 		return
 	}
-	sortUnderByGap(under)
 
 	// Phase 3: pool of movable records from over-represented cells,
 	// capped at alpha·excess per cell. Quotas use probabilistic
 	// rounding: with ceil(), every cell would keep contributing ≥1
 	// record per round no matter how small alpha gets, and a large
 	// marginal set would thrash forever instead of settling. The
-	// summed quotas pre-size the pool and move buffers. Quotas are
-	// integral, so storing them as F is exact in both cell modes.
+	// summed quotas pre-size the pool and move buffers; when they are
+	// all zero the plan moves nothing, and since its RNG dies with it
+	// the remaining phases are skipped. Quotas are integral, so
+	// storing them as F is exact in both cell modes.
 	poolCap := 0
 	cellOf := sc.cellOf[:n]
 	stamp := sc.stamp
@@ -368,6 +424,10 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 		stamp[o.Cell] = quotaE
 		poolCap += int(q)
 	}
+	if poolCap == 0 {
+		return
+	}
+	sortUnderByGap(under)
 	pool := sc.pool[:0]
 	if cap(pool) < poolCap {
 		pool = make([]int, 0, poolCap)
@@ -411,7 +471,7 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 				q, ok = int(v), true
 			}
 			if ok && q != r && rng.Float64() < dupProb {
-				// Duplicate: capture the source row's snapshot codes.
+				// Duplicate: capture the source row's current codes.
 				off := len(rowBuf)
 				for a := 0; a < nAttrs; a++ {
 					rowBuf = append(rowBuf, ds.Cols[a][q])
@@ -441,7 +501,7 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 	// Phase 2: the sorted touched cells merged against the
 	// target-bearing cells, counts read back from the map.
 	slices.Sort(sc.touched)
-	over, under := sc.over[:0], sc.under[:0]
+	over, under := plan.over[:0], sc.under[:0]
 	var l1 float64
 	ki, kn := 0, len(t.tcells)
 	for _, c := range sc.touched {
@@ -469,12 +529,11 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 		l1 += gap
 		under = append(under, cellGap{Cell: tc, Gap: gap})
 	}
-	sc.over, sc.under = over, under
-	plan.l1 = l1
+	sc.under = under
+	plan.over, plan.under, plan.l1, plan.clean = over, len(under), l1, true
 	if len(over) == 0 || len(under) == 0 || alpha <= 0 {
 		return
 	}
-	sortUnderByGap(under)
 
 	// Phase 3 (see planUpdateDense; quotas live in a map here).
 	poolCap := 0
@@ -485,6 +544,10 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 		sc.quota[o.Cell] = q
 		poolCap += int(q)
 	}
+	if poolCap == 0 {
+		return
+	}
+	sortUnderByGap(under)
 	pool := sc.pool[:0]
 	if cap(pool) < poolCap {
 		pool = make([]int, 0, poolCap)
@@ -534,7 +597,7 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 				q, ok = v, true
 			}
 			if ok && q != r && rng.Float64() < dupProb {
-				// Duplicate: capture the source row's snapshot codes.
+				// Duplicate: capture the source row's current codes.
 				off := len(rowBuf)
 				for a := 0; a < nAttrs; a++ {
 					rowBuf = append(rowBuf, ds.Cols[a][q])

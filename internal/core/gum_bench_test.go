@@ -82,3 +82,50 @@ func BenchmarkGUMSteadyState(b *testing.B) {
 		run()
 	}
 }
+
+// BenchmarkGUMSteadyStateQuiet extends the zero-alloc contract to the
+// converged regime, where alpha has decayed and plans move nothing.
+// One op is a whole round over a clean target — the cached quota
+// replay plus the apply pass — followed by a forced re-tally of the
+// same target at the same alpha, which must refill the plan's over
+// cache in its existing capacity. Both must report 0 allocs.
+func BenchmarkGUMSteadyStateQuiet(b *testing.B) {
+	const rows = 50_000
+	ds, g := benchGUMSetup(rows)
+	sc := newGumScratch(rows, g.denseCells, false)
+	plans := make([]gumPlan, len(g.targets))
+	codes := make([]int32, ds.NumAttrs())
+	dirty := make([]bool, ds.NumAttrs())
+	const alpha = 1e-12
+	i := 0
+	round := func() {
+		for ti, t := range g.targets {
+			planTarget(ds, t, alpha, 0.5, taskSeed(uint64(i), "gum-update", ti), sc, &plans[ti])
+		}
+		g.applyRound(ds, plans, codes, dirty)
+		i++
+	}
+	retally := func() {
+		plans[0].clean = false
+		round()
+	}
+	for k := 0; k < 20; k++ {
+		retally()
+	}
+	if !plans[0].clean || len(plans[0].moves) != 0 {
+		b.Fatalf("alpha %g round left the target unclean or moving %d records", alpha, len(plans[0].moves))
+	}
+	quietAllocs := testing.AllocsPerRun(100, round)
+	retallyAllocs := testing.AllocsPerRun(100, retally)
+	b.ReportMetric(quietAllocs, "allocs/quiet-round")
+	b.ReportMetric(retallyAllocs, "allocs/retally-round")
+	if quietAllocs != 0 || retallyAllocs != 0 {
+		b.Fatalf("converged GUM round allocates: %.1f allocs/quiet round, %.1f allocs/re-tally round, want 0",
+			quietAllocs, retallyAllocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		round()
+	}
+}

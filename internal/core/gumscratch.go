@@ -54,13 +54,13 @@ type cellGap = kernels.CellGap
 // epoch bump (O(touched cells), not O(cell space)).
 //
 // The arena carries only buffers, never values: planUpdate's output
-// is a pure function of (snapshot, target, alpha, seed), so which
-// worker's scratch served a task cannot perturb the plan (the engine
-// determinism contract, see parallelForWorker).
+// is a pure function of (ds, target, alpha, seed), so which worker's
+// scratch served a task cannot perturb the plan (the engine
+// determinism contract, see parallelForWorker). The over list is not
+// here: it outlives the plan as the gap cache, so the gumPlan owns it.
 type gumScratch struct {
-	cellOf  []int     // current cell of every snapshot row
+	cellOf  []int     // current cell of every row of ds
 	touched []int     // cells with nonzero current count, first-touch order
-	over    []cellGap // cells above target by more than gumDust
 	under   []cellGap // cells below target by more than gumDust
 	pool    []int     // movable rows drawn from over cells
 
@@ -147,7 +147,7 @@ func floatBytes[F kernels.Float]() int {
 	return 8
 }
 
-// denseTally fills cellOf with every snapshot row's flattened cell
+// denseTally fills cellOf with every row's flattened cell
 // and tallies the counts into the arena at countE, leaving
 // sc.touched holding every nonzero cell (unsorted, first-touch
 // order). The stride accumulation and the count pass are fused into
