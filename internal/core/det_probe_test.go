@@ -12,8 +12,11 @@ import (
 // TestCrossProcessDeterminism verifies that the full pipeline output
 // is identical across separate test processes (Go randomizes map
 // iteration per process, so any hidden map-order dependence shows up
-// here). The expected hash is pinned for the fixed input and seed.
+// here). The expected hash is pinned for the fixed input and seed and
+// asserted, so a change that moves the default and purego builds the
+// same way (which CI's cross-build diff cannot see) still fails.
 func TestCrossProcessDeterminism(t *testing.T) {
+	const pinned = "rows=1767 hash=8aaaf82a73253506"
 	raw, err := datagen.Generate(datagen.TON, datagen.Config{Rows: 1772, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +39,11 @@ func TestCrossProcessDeterminism(t *testing.T) {
 			fmt.Fprintf(h, "%d,", v)
 		}
 	}
-	fmt.Printf("DETHASH rows=%d hash=%x\n", res.Table.NumRows(), h.Sum64())
+	got := fmt.Sprintf("rows=%d hash=%x", res.Table.NumRows(), h.Sum64())
+	fmt.Printf("DETHASH %s\n", got)
+	if got != pinned {
+		t.Fatalf("fingerprint %s, pinned %s", got, pinned)
+	}
 }
 
 // TestCrossProcessDeterminismCells32 runs the same pinned-input

@@ -377,7 +377,7 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 	// into one row sweep (this runs once per marginal per round over
 	// every record — the inner loop of the ≈90%-of-runtime synthesis
 	// stage).
-	countE, quotaE, repE := sc.phases()
+	countE, quotaE := sc.phases()
 	cells := len(t.counts)
 	denseTally(sc, vals, ds, t.m, cells, countE)
 	// Phase 2: L1 error and over/under split from the touched cells
@@ -437,21 +437,17 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 	shufflePool(rng, pool)
 
 	// Phase 4: a representative record for each under cell enables
-	// the duplicate operation. Only under cells are mapped, and the
-	// row scan stops as soon as every findable cell has one: an under
-	// cell still stamped countE here was counted this plan (its rows
-	// exist); the rest have zero count — no row can ever match them,
-	// so they must not keep the scan alive.
+	// the duplicate operation. The tally already recorded every
+	// counted cell's lowest row in rep at its first touch, and under
+	// cells are never re-stamped by the quota phase, so an under cell
+	// still stamped countE holds exactly its first row. The rest have
+	// zero count — no row can represent them.
 	rep := sc.rep
-	findable := 0
 	for _, u := range under {
-		if stamp[u.Cell] == countE {
-			findable++
+		if stamp[u.Cell] != countE {
+			rep[u.Cell] = -1
 		}
-		stamp[u.Cell] = repE
-		rep[u.Cell] = -1
 	}
-	kernels.RepScan(cellOf, rep, stamp, repE, findable)
 
 	// Phase 5: the moves.
 	nAttrs := ds.NumAttrs()
@@ -467,7 +463,7 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 			r := pool[pi]
 			pi++
 			q, ok := 0, false
-			if v := rep[u.Cell]; v >= 0 { // stamped repE above
+			if v := rep[u.Cell]; v >= 0 { // set in phase 4
 				q, ok = int(v), true
 			}
 			if ok && q != r && rng.Float64() < dupProb {

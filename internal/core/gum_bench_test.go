@@ -55,7 +55,9 @@ func BenchmarkGUMPlanUpdate(b *testing.B) {
 // scratch arena and plan buffers are warm, a planning pass must not
 // allocate. It fails the benchmark if AllocsPerRun sees more than one
 // residual allocation per plan (slack for one-off buffer growth when
-// a round's pool outgrows every previous round's).
+// a round's pool outgrows every previous round's), and if the plan
+// moves nothing — a quiet plan would skip the pool, representative
+// and move phases the contract is about.
 func BenchmarkGUMSteadyState(b *testing.B) {
 	const rows = 50_000
 	ds, g := benchGUMSetup(rows)
@@ -73,6 +75,9 @@ func BenchmarkGUMSteadyState(b *testing.B) {
 	}
 	allocs := testing.AllocsPerRun(100, run)
 	b.ReportMetric(allocs, "allocs/plan")
+	if len(plan.moves) == 0 {
+		b.Fatal("steady-state plan moves no record; the pool and representative phases went unmeasured")
+	}
 	if allocs > 1 {
 		b.Fatalf("steady-state planUpdate allocates %.1f allocs/plan, want ~0", allocs)
 	}

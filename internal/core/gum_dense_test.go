@@ -195,13 +195,14 @@ func TestGumScratchEpochWrap(t *testing.T) {
 	g := NewGUM(ms, rows, GUMConfig{denseMode: gumDenseForced})
 	sc := newGumScratch(rows, g.denseCells, false)
 	// Simulate ~4 billion prior plans: cells last touched by the very
-	// first epochs (1..3) still hold those stamps, and the wrap is
-	// about to reissue exactly those epoch values. Without the
-	// one-time clear, the stale stamps would read as live and the
-	// poisoned vals/rep below would leak into plans.
-	sc.epoch = math.MaxUint32 - 4
+	// first plan's two phase epochs (1..2) still hold those stamps,
+	// and the wrap on the second plan below is about to reissue
+	// exactly those epoch values. Without the one-time clear, the
+	// stale stamps would read as live and the poisoned vals/rep below
+	// would leak into plans.
+	sc.epoch = math.MaxUint32 - 3
 	for i := range sc.stamp {
-		sc.stamp[i] = uint32(1 + i%3)
+		sc.stamp[i] = uint32(1 + i%2)
 		sc.vals[i] = 5
 		sc.rep[i] = 7
 	}
@@ -221,7 +222,7 @@ func TestGumScratchEpochWrap(t *testing.T) {
 
 		samePlan(t, "wrap", &gotPlan, &wantPlan)
 	}
-	if sc.epoch > 18 {
+	if sc.epoch > 12 {
 		t.Fatalf("epoch did not wrap: %d", sc.epoch)
 	}
 }

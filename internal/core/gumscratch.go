@@ -68,8 +68,10 @@ type gumScratch struct {
 	// cell space. Exactly one of vals/vals32 is allocated (Cells32
 	// selects float32 cells, halving the arena's cache footprint);
 	// the chosen array holds per-cell counts during the tally and
-	// per-cell move quotas during the pool scan. rep holds each under
-	// cell's representative row (-1 = under member with no rep yet).
+	// per-cell move quotas during the pool scan. rep holds each
+	// counted cell's first row, written by the tally at the cell's
+	// first touch; planUpdateDense reads it as the under cells'
+	// representative rows (-1 = under cell with no row).
 	// stamp gates every read: a cell is live only while stamp[c]
 	// matches the current phase's epoch, so nothing is ever zeroed
 	// wholesale between plans.
@@ -121,21 +123,21 @@ func (sc *gumScratch) reseed(seed uint64) {
 	sc.pcg.Seed(seed, seed^0x6a09e667f3bcc908)
 }
 
-// phases advances the arena epoch for one plan and returns the three
+// phases advances the arena epoch for one plan and returns the two
 // phase stamps: countE marks tallied cells, quotaE marks over cells
-// holding move quotas, repE marks under cells holding representative
-// rows. The phases run strictly in that order within planUpdate and
-// over/under cells are disjoint, so later stamps only ever overwrite
-// state the plan has finished reading. Near uint32 wraparound the
-// stamp array is zeroed once so a stale stamp from ~4 billion plans
-// ago cannot read as live.
-func (sc *gumScratch) phases() (countE, quotaE, repE uint32) {
-	if sc.epoch > math.MaxUint32-3 {
+// holding move quotas. The phases run strictly in that order within
+// planUpdate, so the quota stamp only ever overwrites counts the plan
+// has finished reading; under cells keep countE, which is how the
+// representative phase tells counted cells from empty ones. Near
+// uint32 wraparound the stamp array is zeroed once so a stale stamp
+// from ~4 billion plans ago cannot read as live.
+func (sc *gumScratch) phases() (countE, quotaE uint32) {
+	if sc.epoch > math.MaxUint32-2 {
 		clear(sc.stamp)
 		sc.epoch = 0
 	}
-	sc.epoch += 3
-	return sc.epoch - 2, sc.epoch - 1, sc.epoch
+	sc.epoch += 2
+	return sc.epoch - 1, sc.epoch
 }
 
 // floatBytes reports the in-memory size of the arena element type.
@@ -150,19 +152,21 @@ func floatBytes[F kernels.Float]() int {
 // denseTally fills cellOf with every row's flattened cell
 // and tallies the counts into the arena at countE, leaving
 // sc.touched holding every nonzero cell (unsorted, first-touch
-// order). The stride accumulation and the count pass are fused into
-// ONE row sweep through the kernels package — not len(Attrs)
-// accumulation passes plus a count pass. When the arena's working
+// order) and sc.rep[c] the lowest row of every such cell. The
+// stride accumulation and the count pass are fused into ONE row
+// sweep through the kernels package — not len(Attrs) accumulation
+// passes plus a count pass. When the arena's working
 // set (vals + stamp over the marginal's cells) exceeds the L2
 // budget, the fused pass is split: cellOf is computed in one
 // streaming pass, then the tally scatters in ascending cell blocks
-// that stay cache-resident. Blocked or not, the touched SET is
-// identical and planUpdate orders cells before any ordered use, so
-// the plan is byte-identical either way.
+// that stay cache-resident. Blocked or not, the touched SET and
+// the first rows are identical (each pass visits rows in order) and
+// planUpdate orders cells before any ordered use, so the plan is
+// byte-identical either way.
 func denseTally[F kernels.Float](sc *gumScratch, vals []F, ds *dataset.Encoded, m *marginal.Marginal, cells int, countE uint32) {
 	n := ds.NumRows()
 	cellOf := sc.cellOf[:n]
-	stamp := sc.stamp
+	stamp, first := sc.stamp, sc.rep
 	touched := sc.touched[:0]
 
 	if footprint := cells * (floatBytes[F]() + 4); footprint > gumTileBytes && n >= cells {
@@ -176,7 +180,7 @@ func denseTally[F kernels.Float](sc *gumScratch, vals []F, ds *dataset.Encoded, 
 			if hi > cells {
 				hi = cells
 			}
-			touched = kernels.TallyRange(cellOf, vals, stamp, countE, lo, hi, touched)
+			touched = kernels.TallyRange(cellOf, vals, stamp, first, countE, lo, hi, touched)
 		}
 		sc.touched = touched
 		return
@@ -186,13 +190,13 @@ func denseTally[F kernels.Float](sc *gumScratch, vals []F, ds *dataset.Encoded, 
 	switch len(attrs) {
 	case 2:
 		touched = kernels.Cells2Tally(cellOf, ds.Cols[attrs[0]], ds.Cols[attrs[1]],
-			strides[0], vals, stamp, countE, touched)
+			strides[0], vals, stamp, first, countE, touched)
 	case 3:
 		touched = kernels.Cells3Tally(cellOf, ds.Cols[attrs[0]], ds.Cols[attrs[1]],
-			ds.Cols[attrs[2]], strides[0], strides[1], vals, stamp, countE, touched)
+			ds.Cols[attrs[2]], strides[0], strides[1], vals, stamp, first, countE, touched)
 	default:
 		m.CellsInto(ds, cellOf)
-		touched = kernels.Tally(cellOf, vals, stamp, countE, touched)
+		touched = kernels.Tally(cellOf, vals, stamp, first, countE, touched)
 	}
 	sc.touched = touched
 }

@@ -10,8 +10,8 @@
 //     ref.go, re-exported unchanged.
 //
 // The two variants are byte-identical by contract: same counts, same
-// touched/over/under/pool contents in the same order, same float
-// accumulation order. CI enforces this three ways — the in-package
+// first rows, same touched/over/under/pool contents in the same
+// order, same float accumulation order. CI enforces this three ways — the in-package
 // equivalence tests and FuzzKernelTally compare every exported
 // kernel against its reference, the purego CI job runs the whole
 // core/marginal suite with -tags purego under -race, and the

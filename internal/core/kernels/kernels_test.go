@@ -62,6 +62,7 @@ func TestCellsMatchReference(t *testing.T) {
 type arena[F Float] struct {
 	vals, refVals   []F
 	stamp, refStamp []uint32
+	first, refFirst []int32
 	epoch           uint32
 }
 
@@ -71,6 +72,8 @@ func newArena[F Float](cells int, epoch uint32) *arena[F] {
 		refVals:  make([]F, cells),
 		stamp:    make([]uint32, cells),
 		refStamp: make([]uint32, cells),
+		first:    make([]int32, cells),
+		refFirst: make([]int32, cells),
 		epoch:    epoch,
 	}
 }
@@ -84,8 +87,14 @@ func (a *arena[F]) check(t *testing.T, tag string, touched, refTouched []int) {
 		t.Fatalf("%s: stamp arena diverges from reference", tag)
 	}
 	for c := range a.vals {
-		if a.stamp[c] == a.epoch && a.vals[c] != a.refVals[c] {
+		if a.stamp[c] != a.epoch {
+			continue
+		}
+		if a.vals[c] != a.refVals[c] {
 			t.Fatalf("%s: vals[%d] = %v, reference %v", tag, c, a.vals[c], a.refVals[c])
+		}
+		if a.first[c] != a.refFirst[c] {
+			t.Fatalf("%s: first[%d] = %d, reference %d", tag, c, a.first[c], a.refFirst[c])
 		}
 	}
 }
@@ -100,8 +109,8 @@ func testTally[F Float](t *testing.T, tag string) {
 
 		// 2-way fused.
 		a := newArena[F](cells, 7)
-		got := Cells2Tally(cellOf, cols[0], cols[1], 9, a.vals, a.stamp, a.epoch, nil)
-		want := refCells2Tally(refCellOf, cols[0], cols[1], 9, a.refVals, a.refStamp, a.epoch, nil)
+		got := Cells2Tally(cellOf, cols[0], cols[1], 9, a.vals, a.stamp, a.first, a.epoch, nil)
+		want := refCells2Tally(refCellOf, cols[0], cols[1], 9, a.refVals, a.refStamp, a.refFirst, a.epoch, nil)
 		a.check(t, tag+"/Cells2Tally", got, want)
 		if !slices.Equal(cellOf, refCellOf) {
 			t.Fatalf("%s: Cells2Tally cellOf diverges", tag)
@@ -109,8 +118,8 @@ func testTally[F Float](t *testing.T, tag string) {
 
 		// 3-way fused.
 		a = newArena[F](cells, 9)
-		got = Cells3Tally(cellOf, cols[0], cols[1], cols[2], 99, 11, a.vals, a.stamp, a.epoch, nil)
-		want = refCells3Tally(refCellOf, cols[0], cols[1], cols[2], 99, 11, a.refVals, a.refStamp, a.epoch, nil)
+		got = Cells3Tally(cellOf, cols[0], cols[1], cols[2], 99, 11, a.vals, a.stamp, a.first, a.epoch, nil)
+		want = refCells3Tally(refCellOf, cols[0], cols[1], cols[2], 99, 11, a.refVals, a.refStamp, a.refFirst, a.epoch, nil)
 		a.check(t, tag+"/Cells3Tally", got, want)
 		if !slices.Equal(cellOf, refCellOf) {
 			t.Fatalf("%s: Cells3Tally cellOf diverges", tag)
@@ -119,29 +128,28 @@ func testTally[F Float](t *testing.T, tag string) {
 		// Plain tally over precomputed cells, then blocked passes over
 		// the same rows: same touched SET in block order.
 		a = newArena[F](cells, 11)
-		got = Tally(cellOf, a.vals, a.stamp, a.epoch, nil)
-		want = refTally(refCellOf, a.refVals, a.refStamp, a.epoch, nil)
+		got = Tally(cellOf, a.vals, a.stamp, a.first, a.epoch, nil)
+		want = refTally(refCellOf, a.refVals, a.refStamp, a.refFirst, a.epoch, nil)
 		a.check(t, tag+"/Tally", got, want)
 
 		a = newArena[F](cells, 13)
-		ar := newArena[F](cells, 13)
 		got, want = nil, nil
 		for lo := 0; lo < cells; lo += 301 {
 			hi := min(lo+301, cells)
-			got = TallyRange(cellOf, a.vals, a.stamp, a.epoch, lo, hi, got)
-			want = refTallyRange(cellOf, ar.refVals, ar.refStamp, a.epoch, lo, hi, want)
+			got = TallyRange(cellOf, a.vals, a.stamp, a.first, a.epoch, lo, hi, got)
+			want = refTallyRange(cellOf, a.refVals, a.refStamp, a.refFirst, a.epoch, lo, hi, want)
 		}
-		a.refVals, a.refStamp = ar.refVals, ar.refStamp
 		a.check(t, tag+"/TallyRange", got, want)
 		// Blocked and unblocked tallies agree as sets with identical
-		// per-cell counts (order differs by construction).
+		// per-cell counts and first rows (order differs by
+		// construction).
 		flat := newArena[F](cells, 13)
-		flatTouched := refTally(cellOf, flat.refVals, flat.refStamp, 13, nil)
+		flatTouched := refTally(cellOf, flat.refVals, flat.refStamp, flat.refFirst, 13, nil)
 		if len(flatTouched) != len(got) {
 			t.Fatalf("%s: blocked touched size %d, flat %d", tag, len(got), len(flatTouched))
 		}
 		for _, c := range got {
-			if flat.refStamp[c] != 13 || flat.refVals[c] != a.vals[c] {
+			if flat.refStamp[c] != 13 || flat.refVals[c] != a.vals[c] || flat.refFirst[c] != a.first[c] {
 				t.Fatalf("%s: blocked cell %d disagrees with flat tally", tag, c)
 			}
 		}
@@ -151,6 +159,96 @@ func testTally[F Float](t *testing.T, tag string) {
 func TestTallyMatchReference(t *testing.T) {
 	testTally[float64](t, "f64")
 	testTally[float32](t, "f32")
+}
+
+// lowestRows is the first-row oracle: the lowest row of every cell
+// in cellOf, -1 for cells no row lands in.
+func lowestRows(cellOf []int, cells int) []int32 {
+	low := make([]int32, cells)
+	for c := range low {
+		low[c] = -1
+	}
+	for r := len(cellOf) - 1; r >= 0; r-- {
+		low[cellOf[r]] = int32(r)
+	}
+	return low
+}
+
+// testFirstRow checks every tally kernel's first[] against the
+// lowest-row oracle, not just against its reference twin: GUM takes
+// its representative rows straight from first[], so a kernel that
+// recorded any other row of the cell (the last, say) would change
+// the plan's duplicate sources while both variants still agreed. The
+// arrays start poisoned so an unwritten counted cell shows too.
+func testFirstRow[F Float](t *testing.T, tag string) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	const cells = 16 * 9 * 11
+	run := func(name string, n int, cellOf []int, tally func(first []int32, ref bool)) {
+		t.Helper()
+		low := lowestRows(cellOf, cells)
+		for _, ref := range []bool{false, true} {
+			first := make([]int32, cells)
+			for c := range first {
+				first[c] = -7
+			}
+			tally(first, ref)
+			for c, w := range low {
+				if w >= 0 && first[c] != w {
+					t.Fatalf("%s/%s n=%d ref=%v: first[%d] = %d, lowest row %d", tag, name, n, ref, c, first[c], w)
+				}
+			}
+		}
+	}
+	for _, n := range rowCases {
+		cols := randCols(rng, n, 16, 9, 11)
+		cellOf := make([]int, n)
+		refCells2(cellOf, cols[0], cols[1], 9)
+		run("Cells2Tally", n, cellOf, func(first []int32, ref bool) {
+			out := make([]int, n)
+			vals, stamp := make([]F, cells), make([]uint32, cells)
+			if ref {
+				refCells2Tally(out, cols[0], cols[1], 9, vals, stamp, first, 1, nil)
+			} else {
+				Cells2Tally(out, cols[0], cols[1], 9, vals, stamp, first, 1, nil)
+			}
+		})
+		refCells3(cellOf, cols[0], cols[1], cols[2], 99, 11)
+		run("Cells3Tally", n, cellOf, func(first []int32, ref bool) {
+			out := make([]int, n)
+			vals, stamp := make([]F, cells), make([]uint32, cells)
+			if ref {
+				refCells3Tally(out, cols[0], cols[1], cols[2], 99, 11, vals, stamp, first, 1, nil)
+			} else {
+				Cells3Tally(out, cols[0], cols[1], cols[2], 99, 11, vals, stamp, first, 1, nil)
+			}
+		})
+		run("Tally", n, cellOf, func(first []int32, ref bool) {
+			vals, stamp := make([]F, cells), make([]uint32, cells)
+			if ref {
+				refTally(cellOf, vals, stamp, first, 1, nil)
+			} else {
+				Tally(cellOf, vals, stamp, first, 1, nil)
+			}
+		})
+		// Every block of a blocked tally, at a block size that leaves a
+		// ragged last block.
+		run("TallyRange", n, cellOf, func(first []int32, ref bool) {
+			vals, stamp := make([]F, cells), make([]uint32, cells)
+			for lo := 0; lo < cells; lo += 301 {
+				hi := min(lo+301, cells)
+				if ref {
+					refTallyRange(cellOf, vals, stamp, first, 1, lo, hi, nil)
+				} else {
+					TallyRange(cellOf, vals, stamp, first, 1, lo, hi, nil)
+				}
+			}
+		})
+	}
+}
+
+func TestTallyFirstRow(t *testing.T) {
+	testFirstRow[float64](t, "f64")
+	testFirstRow[float32](t, "f32")
 }
 
 func testGapSweep[F Float](t *testing.T, tag string) {
@@ -194,60 +292,65 @@ func TestGapSweepMatchReference(t *testing.T) {
 	testGapSweep[float32](t, "f32")
 }
 
-func testPoolRepScan[F Float](t *testing.T, tag string) {
+func testPoolScan[F Float](t *testing.T, tag string) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	const cells = 97
 	for _, n := range rowCases {
-		cellOf := make([]int, n)
-		for r := range cellOf {
-			cellOf[r] = rng.IntN(cells)
-		}
-		const epoch = 31
-		vals := make([]F, cells)
-		refVals := make([]F, cells)
-		stamp := make([]uint32, cells)
-		want := 0
-		for c := 0; c < cells; c++ {
-			if rng.Float64() < 0.3 {
-				q := rng.IntN(4)
-				stamp[c] = epoch
-				vals[c], refVals[c] = F(q), F(q)
-				want += q
+		for _, quota := range []int{1, 4, 40} {
+			cellOf := make([]int, n)
+			for r := range cellOf {
+				cellOf[r] = rng.IntN(cells)
 			}
-		}
-		gotPool := PoolScan(cellOf, vals, stamp, epoch, nil, want)
-		wantPool := refPoolScan(cellOf, refVals, stamp, epoch, nil, want)
-		if !slices.Equal(gotPool, wantPool) {
-			t.Fatalf("%s: PoolScan(n=%d) diverges from reference", tag, n)
-		}
-		for c := range vals {
-			if stamp[c] == epoch && vals[c] != refVals[c] {
-				t.Fatalf("%s: PoolScan leftover quota at cell %d: %v vs %v", tag, c, vals[c], refVals[c])
+			const epoch = 31
+			vals := make([]F, cells)
+			stamp := make([]uint32, cells)
+			want := 0
+			for c := 0; c < cells; c++ {
+				// Unstamped cells carry stale values that must not read
+				// as quota.
+				vals[c] = F(rng.IntN(3))
+				if rng.Float64() < 0.3 {
+					q := rng.IntN(quota)
+					stamp[c] = epoch
+					vals[c] = F(q)
+					want += q
+				}
 			}
-		}
-
-		rep := make([]int32, cells)
-		refRep := make([]int32, cells)
-		rstamp := make([]uint32, cells)
-		need := 0
-		for c := 0; c < cells; c++ {
-			rep[c], refRep[c] = -1, -1
-			if rng.Float64() < 0.3 {
-				rstamp[c] = epoch
-				need++
+			// The pool may arrive empty, with a live prefix the scan
+			// must append after, or with capacity below want (the
+			// kernel must grow it, never write past it).
+			prefix := []int{-3, -2, -1}
+			for _, start := range []struct {
+				name string
+				pool []int
+			}{
+				{"nil", nil},
+				{"presized", make([]int, 0, want)},
+				{"prefix", slices.Clone(prefix)},
+				{"prefix-presized", append(make([]int, 0, len(prefix)+want), prefix...)},
+				{"short-cap", make([]int, 0, want/2)},
+				{"prefix-short-cap", append(make([]int, 0, len(prefix)+want/3), prefix...)},
+			} {
+				gotVals, refVals := slices.Clone(vals), slices.Clone(vals)
+				refPool := slices.Clone(start.pool)
+				gotPool := PoolScan(cellOf, gotVals, stamp, epoch, start.pool, want)
+				wantPool := refPoolScan(cellOf, refVals, stamp, epoch, refPool, want)
+				if !slices.Equal(gotPool, wantPool) {
+					t.Fatalf("%s: PoolScan(n=%d quota<%d %s) = %v, reference %v", tag, n, quota, start.name, gotPool, wantPool)
+				}
+				for c := range gotVals {
+					if stamp[c] == epoch && gotVals[c] != refVals[c] {
+						t.Fatalf("%s: PoolScan(n=%d %s) leftover quota at cell %d: %v vs %v", tag, n, start.name, c, gotVals[c], refVals[c])
+					}
+				}
 			}
-		}
-		RepScan(cellOf, rep, rstamp, epoch, need)
-		refRepScan(cellOf, refRep, rstamp, epoch, need)
-		if !slices.Equal(rep, refRep) {
-			t.Fatalf("%s: RepScan(n=%d) diverges from reference", tag, n)
 		}
 	}
 }
 
-func TestPoolRepScanMatchReference(t *testing.T) {
-	testPoolRepScan[float64](t, "f64")
-	testPoolRepScan[float32](t, "f32")
+func TestPoolScanMatchReference(t *testing.T) {
+	testPoolScan[float64](t, "f64")
+	testPoolScan[float32](t, "f32")
 }
 
 func TestVariantName(t *testing.T) {

@@ -2,7 +2,10 @@
 
 package kernels
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // The optimized variant: 8-lane unrolled loops with re-sliced
 // operands so the compiler can prove bounds once per lane group, and
@@ -111,12 +114,13 @@ func AccumStride(out []int, col []int32, s int, init bool) {
 	}
 }
 
-// tallyOne folds one cell into the stamped arena, appending
-// first-seen cells to touched.
-func tallyOne[F Float](c int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+// tallyOne folds row r's cell c into the stamped arena, recording r
+// in first and appending c to touched on the cell's first touch.
+func tallyOne[F Float](r, c int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
 	if stamp[c] != epoch {
 		stamp[c] = epoch
 		vals[c] = 1
+		first[c] = int32(r)
 		touched = append(touched, c)
 	} else {
 		vals[c]++
@@ -124,24 +128,25 @@ func tallyOne[F Float](c int, vals []F, stamp []uint32, epoch uint32, touched []
 	return touched
 }
 
-// Tally counts rows per cell into the epoch-stamped dense arena and
-// appends first-seen cells to touched. See refTally for semantics.
-func Tally[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+// Tally counts rows per cell into the epoch-stamped dense arena,
+// records each cell's first row in first and appends first-seen
+// cells to touched. See refTally for semantics.
+func Tally[F Float](cells []int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
 	n := len(cells)
 	r := 0
 	for ; r+8 <= n; r += 8 {
 		cv := cells[r : r+8 : r+8]
-		touched = tallyOne(cv[0], vals, stamp, epoch, touched)
-		touched = tallyOne(cv[1], vals, stamp, epoch, touched)
-		touched = tallyOne(cv[2], vals, stamp, epoch, touched)
-		touched = tallyOne(cv[3], vals, stamp, epoch, touched)
-		touched = tallyOne(cv[4], vals, stamp, epoch, touched)
-		touched = tallyOne(cv[5], vals, stamp, epoch, touched)
-		touched = tallyOne(cv[6], vals, stamp, epoch, touched)
-		touched = tallyOne(cv[7], vals, stamp, epoch, touched)
+		touched = tallyOne(r, cv[0], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+1, cv[1], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+2, cv[2], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+3, cv[3], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+4, cv[4], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+5, cv[5], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+6, cv[6], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+7, cv[7], vals, stamp, first, epoch, touched)
 	}
 	for ; r < n; r++ {
-		touched = tallyOne(cells[r], vals, stamp, epoch, touched)
+		touched = tallyOne(r, cells[r], vals, stamp, first, epoch, touched)
 	}
 	return touched
 }
@@ -149,7 +154,7 @@ func Tally[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, touched
 // TallyRange is Tally restricted to cells in [lo, hi) — one pass of
 // the L2-blocked tally. Most cells miss the block, so the unrolled
 // body front-loads the cheap range test.
-func TallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, lo, hi int, touched []int) []int {
+func TallyRange[F Float](cells []int, vals []F, stamp []uint32, first []int32, epoch uint32, lo, hi int, touched []int) []int {
 	n := len(cells)
 	r := 0
 	for ; r+8 <= n; r += 8 {
@@ -159,7 +164,7 @@ func TallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, lo
 			if c < lo || c >= hi {
 				continue
 			}
-			touched = tallyOne(c, vals, stamp, epoch, touched)
+			touched = tallyOne(r+i, c, vals, stamp, first, epoch, touched)
 		}
 	}
 	for ; r < n; r++ {
@@ -167,14 +172,14 @@ func TallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, lo
 		if c < lo || c >= hi {
 			continue
 		}
-		touched = tallyOne(c, vals, stamp, epoch, touched)
+		touched = tallyOne(r, c, vals, stamp, first, epoch, touched)
 	}
 	return touched
 }
 
 // Cells2Tally fuses the two-attribute cell computation with Tally,
 // recording per-row cells in cellOf.
-func Cells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func Cells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
 	n := len(cellOf)
 	if len(a) < n || len(b) < n {
 		panic("kernels: column shorter than cellOf")
@@ -192,25 +197,25 @@ func Cells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []
 		o[5] = int(av[5])*s0 + int(bv[5])
 		o[6] = int(av[6])*s0 + int(bv[6])
 		o[7] = int(av[7])*s0 + int(bv[7])
-		touched = tallyOne(o[0], vals, stamp, epoch, touched)
-		touched = tallyOne(o[1], vals, stamp, epoch, touched)
-		touched = tallyOne(o[2], vals, stamp, epoch, touched)
-		touched = tallyOne(o[3], vals, stamp, epoch, touched)
-		touched = tallyOne(o[4], vals, stamp, epoch, touched)
-		touched = tallyOne(o[5], vals, stamp, epoch, touched)
-		touched = tallyOne(o[6], vals, stamp, epoch, touched)
-		touched = tallyOne(o[7], vals, stamp, epoch, touched)
+		touched = tallyOne(r, o[0], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+1, o[1], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+2, o[2], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+3, o[3], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+4, o[4], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+5, o[5], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+6, o[6], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+7, o[7], vals, stamp, first, epoch, touched)
 	}
 	for ; r < n; r++ {
 		c := int(a[r])*s0 + int(b[r])
 		cellOf[r] = c
-		touched = tallyOne(c, vals, stamp, epoch, touched)
+		touched = tallyOne(r, c, vals, stamp, first, epoch, touched)
 	}
 	return touched
 }
 
 // Cells3Tally fuses the three-attribute cell computation with Tally.
-func Cells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func Cells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
 	n := len(cellOf)
 	if len(a) < n || len(b) < n || len(c) < n {
 		panic("kernels: column shorter than cellOf")
@@ -229,19 +234,19 @@ func Cells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, s
 		o[5] = int(av[5])*s0 + int(bv[5])*s1 + int(cv[5])
 		o[6] = int(av[6])*s0 + int(bv[6])*s1 + int(cv[6])
 		o[7] = int(av[7])*s0 + int(bv[7])*s1 + int(cv[7])
-		touched = tallyOne(o[0], vals, stamp, epoch, touched)
-		touched = tallyOne(o[1], vals, stamp, epoch, touched)
-		touched = tallyOne(o[2], vals, stamp, epoch, touched)
-		touched = tallyOne(o[3], vals, stamp, epoch, touched)
-		touched = tallyOne(o[4], vals, stamp, epoch, touched)
-		touched = tallyOne(o[5], vals, stamp, epoch, touched)
-		touched = tallyOne(o[6], vals, stamp, epoch, touched)
-		touched = tallyOne(o[7], vals, stamp, epoch, touched)
+		touched = tallyOne(r, o[0], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+1, o[1], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+2, o[2], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+3, o[3], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+4, o[4], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+5, o[5], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+6, o[6], vals, stamp, first, epoch, touched)
+		touched = tallyOne(r+7, o[7], vals, stamp, first, epoch, touched)
 	}
 	for ; r < n; r++ {
 		cc := int(a[r])*s0 + int(b[r])*s1 + int(c[r])
 		cellOf[r] = cc
-		touched = tallyOne(cc, vals, stamp, epoch, touched)
+		touched = tallyOne(r, cc, vals, stamp, first, epoch, touched)
 	}
 	return touched
 }
@@ -333,53 +338,47 @@ func GapMerge[F Float](touched []int, vals []F, counts []float64, tcells []int, 
 }
 
 // PoolScan collects donor rows in row order, consuming per-cell
-// quotas from the stamped arena; want (the summed quota) bounds the
-// scan — once every quota unit is consumed no later row can qualify.
+// quotas from the stamped arena (see refPoolScan); want must be the
+// summed quota of the stamped cells. The body is branch-free: every
+// row is stored at pool[k] and the qualifying mask m advances k and
+// consumes a quota unit, so a data-dependent test never steers
+// control flow. The capacity invariant cap(pool)-k >= want makes the
+// unconditional store safe: 8-row groups run while want >= 8, then
+// the scalar tail runs while want > 0.
 func PoolScan[F Float](cellOf []int, vals []F, stamp []uint32, epoch uint32, pool []int, want int) []int {
+	pool = slices.Grow(pool, want)
+	k := len(pool)
+	buf := pool[:cap(pool)]
 	n := len(cellOf)
 	r := 0
-	for ; r+8 <= n && want > 0; r += 8 {
+	for ; r+8 <= n && want >= 8; r += 8 {
 		cv := cellOf[r : r+8 : r+8]
+		k0 := k
 		for i := 0; i < 8; i++ {
 			c := cv[i]
-			if stamp[c] == epoch && vals[c] >= 1 {
-				vals[c]--
-				pool = append(pool, r+i)
-				want--
-			}
+			m := b2i(stamp[c] == epoch) & b2i(vals[c] >= 1)
+			buf[k] = r + i
+			k += m
+			vals[c] -= F(m)
 		}
+		want -= k - k0
 	}
 	for ; r < n && want > 0; r++ {
 		c := cellOf[r]
-		if stamp[c] == epoch && vals[c] >= 1 {
-			vals[c]--
-			pool = append(pool, r)
-			want--
-		}
+		m := b2i(stamp[c] == epoch) & b2i(vals[c] >= 1)
+		buf[k] = r
+		k += m
+		vals[c] -= F(m)
+		want -= m
 	}
-	return pool
+	return buf[:k]
 }
 
-// RepScan records the first representative row of each stamped cell,
-// stopping once need cells are resolved.
-func RepScan(cellOf []int, rep []int32, stamp []uint32, epoch uint32, need int) {
-	n := len(cellOf)
-	r := 0
-	for ; r+8 <= n && need > 0; r += 8 {
-		cv := cellOf[r : r+8 : r+8]
-		for i := 0; i < 8; i++ {
-			if c := cv[i]; stamp[c] == epoch && rep[c] < 0 {
-				rep[c] = int32(r + i)
-				if need--; need == 0 {
-					return
-				}
-			}
-		}
+// b2i converts a comparison result to 0 or 1; the compiler lowers it
+// to a flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	for ; r < n && need > 0; r++ {
-		if c := cellOf[r]; stamp[c] == epoch && rep[c] < 0 {
-			rep[c] = int32(r)
-			need--
-		}
-	}
+	return 0
 }

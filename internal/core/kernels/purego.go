@@ -22,27 +22,28 @@ func Cells3(out []int, a, b, c []int32, s0, s1 int) { refCells3(out, a, b, c, s0
 // init is set) — one column of a generic marginal cell computation.
 func AccumStride(out []int, col []int32, s int, init bool) { refAccumStride(out, col, s, init) }
 
-// Tally counts rows per cell into the epoch-stamped dense arena and
-// appends first-seen cells to touched. See refTally for semantics.
-func Tally[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
-	return refTally(cells, vals, stamp, epoch, touched)
+// Tally counts rows per cell into the epoch-stamped dense arena,
+// records each cell's first row in first and appends first-seen
+// cells to touched. See refTally for semantics.
+func Tally[F Float](cells []int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
+	return refTally(cells, vals, stamp, first, epoch, touched)
 }
 
 // TallyRange is Tally restricted to cells in [lo, hi) — one pass of
 // the L2-blocked tally.
-func TallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, lo, hi int, touched []int) []int {
-	return refTallyRange(cells, vals, stamp, epoch, lo, hi, touched)
+func TallyRange[F Float](cells []int, vals []F, stamp []uint32, first []int32, epoch uint32, lo, hi int, touched []int) []int {
+	return refTallyRange(cells, vals, stamp, first, epoch, lo, hi, touched)
 }
 
 // Cells2Tally fuses the two-attribute cell computation with Tally,
 // recording per-row cells in cellOf.
-func Cells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
-	return refCells2Tally(cellOf, a, b, s0, vals, stamp, epoch, touched)
+func Cells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
+	return refCells2Tally(cellOf, a, b, s0, vals, stamp, first, epoch, touched)
 }
 
 // Cells3Tally fuses the three-attribute cell computation with Tally.
-func Cells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
-	return refCells3Tally(cellOf, a, b, c, s0, s1, vals, stamp, epoch, touched)
+func Cells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
+	return refCells3Tally(cellOf, a, b, c, s0, s1, vals, stamp, first, epoch, touched)
 }
 
 // GapSweep classifies every cell of the dense arena against its
@@ -62,10 +63,4 @@ func GapMerge[F Float](touched []int, vals []F, counts []float64, tcells []int, 
 // scan.
 func PoolScan[F Float](cellOf []int, vals []F, stamp []uint32, epoch uint32, pool []int, want int) []int {
 	return refPoolScan(cellOf, vals, stamp, epoch, pool, want)
-}
-
-// RepScan records the first representative row of each stamped cell,
-// stopping once need cells are resolved.
-func RepScan(cellOf []int, rep []int32, stamp []uint32, epoch uint32, need int) {
-	refRepScan(cellOf, rep, stamp, epoch, need)
 }

@@ -37,14 +37,17 @@ func refAccumStride(out []int, col []int32, s int, init bool) {
 }
 
 // refTally counts rows per cell into the epoch-stamped arena:
-// a cell seen for the first time this epoch is stamped, set to 1 and
-// appended to touched (in first-seen row order); later hits
-// increment. Returns the grown touched slice.
-func refTally[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
-	for _, c := range cells {
+// a cell seen for the first time this epoch is stamped, set to 1,
+// has its row recorded in first and is appended to touched (in
+// first-seen row order); later hits increment. Rows are visited in
+// order, so first[c] is the lowest row whose cell is c. Returns the
+// grown touched slice.
+func refTally[F Float](cells []int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
+	for r, c := range cells {
 		if stamp[c] != epoch {
 			stamp[c] = epoch
 			vals[c] = 1
+			first[c] = int32(r)
 			touched = append(touched, c)
 		} else {
 			vals[c]++
@@ -54,15 +57,17 @@ func refTally[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, touc
 }
 
 // refTallyRange is refTally restricted to cells in [lo, hi) — one
-// pass of the L2-blocked tally. Out-of-block cells are skipped.
-func refTallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32, lo, hi int, touched []int) []int {
-	for _, c := range cells {
+// pass of the L2-blocked tally. Out-of-block cells are skipped; each
+// pass still visits rows in order, so first[c] is the lowest row.
+func refTallyRange[F Float](cells []int, vals []F, stamp []uint32, first []int32, epoch uint32, lo, hi int, touched []int) []int {
+	for r, c := range cells {
 		if c < lo || c >= hi {
 			continue
 		}
 		if stamp[c] != epoch {
 			stamp[c] = epoch
 			vals[c] = 1
+			first[c] = int32(r)
 			touched = append(touched, c)
 		} else {
 			vals[c]++
@@ -73,13 +78,14 @@ func refTallyRange[F Float](cells []int, vals []F, stamp []uint32, epoch uint32,
 
 // refCells2Tally fuses refCells2 with refTally, recording each row's
 // cell in cellOf on the way through.
-func refCells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func refCells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
 	for r := range cellOf {
 		c := int(a[r])*s0 + int(b[r])
 		cellOf[r] = c
 		if stamp[c] != epoch {
 			stamp[c] = epoch
 			vals[c] = 1
+			first[c] = int32(r)
 			touched = append(touched, c)
 		} else {
 			vals[c]++
@@ -89,13 +95,14 @@ func refCells2Tally[F Float](cellOf []int, a, b []int32, s0 int, vals []F, stamp
 }
 
 // refCells3Tally is the three-attribute analogue of refCells2Tally.
-func refCells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, stamp []uint32, epoch uint32, touched []int) []int {
+func refCells3Tally[F Float](cellOf []int, a, b, c []int32, s0, s1 int, vals []F, stamp []uint32, first []int32, epoch uint32, touched []int) []int {
 	for r := range cellOf {
 		cc := int(a[r])*s0 + int(b[r])*s1 + int(c[r])
 		cellOf[r] = cc
 		if stamp[cc] != epoch {
 			stamp[cc] = epoch
 			vals[cc] = 1
+			first[cc] = int32(r)
 			touched = append(touched, cc)
 		} else {
 			vals[cc]++
@@ -191,16 +198,4 @@ func refPoolScan[F Float](cellOf []int, vals []F, stamp []uint32, epoch uint32, 
 		}
 	}
 	return pool
-}
-
-// refRepScan finds the first representative row for each stamped
-// cell (rep preset to -1), stopping early once need cells are
-// resolved.
-func refRepScan(cellOf []int, rep []int32, stamp []uint32, epoch uint32, need int) {
-	for r := 0; r < len(cellOf) && need > 0; r++ {
-		if c := cellOf[r]; stamp[c] == epoch && rep[c] < 0 {
-			rep[c] = int32(r)
-			need--
-		}
-	}
 }
