@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -11,6 +10,7 @@ import (
 	"github.com/netdpsyn/netdpsyn/internal/core/kernels"
 	"github.com/netdpsyn/netdpsyn/internal/dataset"
 	"github.com/netdpsyn/netdpsyn/internal/marginal"
+	"github.com/netdpsyn/netdpsyn/internal/radix"
 )
 
 // GUMConfig tunes the Gradually Update Method record synthesizer.
@@ -344,17 +344,23 @@ func planUpdate(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc *gumS
 
 // sortUnderByGap orders deficits largest-gap first (ties by cell
 // index) — the order they are served in and the order their RNG
-// draws happen in.
-func sortUnderByGap(under []cellGap) {
-	slices.SortFunc(under, func(a, b cellGap) int {
-		if a.Gap != b.Gap {
-			if a.Gap > b.Gap {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.Cell, b.Cell)
-	})
+// draws happen in. Every route that builds under (GapSweep, GapMerge,
+// the sparse merge) emits it in ascending cell order and every gap
+// exceeds gumDust > 0, so a stable radix sort on the complemented gap
+// key yields exactly that order without a comparator. The keys and
+// the ping-pong buffers live in the scratch arena.
+func (sc *gumScratch) sortUnderByGap(under []cellGap) {
+	n := len(under)
+	if cap(sc.gapKeys) < n {
+		sc.gapKeys = make([]uint64, n)
+		sc.gapKbuf = make([]uint64, n)
+		sc.underBuf = make([]cellGap, n)
+	}
+	keys := sc.gapKeys[:n]
+	for i, u := range under {
+		keys[i] = ^radix.Float64Key(u.Gap)
+	}
+	radix.Sort(keys, under, sc.gapKbuf, sc.underBuf)
 }
 
 // shufflePool is Fisher–Yates with the same draw sequence as
@@ -427,7 +433,7 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 	if poolCap == 0 {
 		return
 	}
-	sortUnderByGap(under)
+	sc.sortUnderByGap(under)
 	pool := sc.pool[:0]
 	if cap(pool) < poolCap {
 		pool = make([]int, 0, poolCap)
@@ -450,12 +456,12 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 	}
 
 	// Phase 5: the moves.
-	nAttrs := ds.NumAttrs()
 	moves := plan.moves[:0]
 	if cap(moves) < poolCap {
 		moves = make([]gumMove, 0, poolCap)
 	}
 	rowBuf := plan.rowBuf
+	lastQ, lastOff := -1, 0
 	pi := 0
 	for _, u := range under {
 		need := int(stochasticRound(rng, u.Gap*alpha))
@@ -467,12 +473,11 @@ func planUpdateDense[F kernels.Float](ds *dataset.Encoded, t *target, alpha, dup
 				q, ok = int(v), true
 			}
 			if ok && q != r && rng.Float64() < dupProb {
-				// Duplicate: capture the source row's current codes.
-				off := len(rowBuf)
-				for a := 0; a < nAttrs; a++ {
-					rowBuf = append(rowBuf, ds.Cols[a][q])
+				if q != lastQ {
+					rowBuf, lastOff = captureRow(ds, q, rowBuf)
+					lastQ = q
 				}
-				moves = append(moves, gumMove{r: r, rowOff: off})
+				moves = append(moves, gumMove{r: r, rowOff: lastOff})
 				plan.dups++
 			} else {
 				moves = append(moves, gumMove{r: r, cell: u.Cell, rowOff: -1})
@@ -543,7 +548,7 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 	if poolCap == 0 {
 		return
 	}
-	sortUnderByGap(under)
+	sc.sortUnderByGap(under)
 	pool := sc.pool[:0]
 	if cap(pool) < poolCap {
 		pool = make([]int, 0, poolCap)
@@ -576,12 +581,12 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 	}
 
 	// Phase 5.
-	nAttrs := ds.NumAttrs()
 	moves := plan.moves[:0]
 	if cap(moves) < poolCap {
 		moves = make([]gumMove, 0, poolCap)
 	}
 	rowBuf := plan.rowBuf
+	lastQ, lastOff := -1, 0
 	pi := 0
 	for _, u := range under {
 		need := int(stochasticRound(rng, u.Gap*alpha))
@@ -593,12 +598,11 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 				q, ok = v, true
 			}
 			if ok && q != r && rng.Float64() < dupProb {
-				// Duplicate: capture the source row's current codes.
-				off := len(rowBuf)
-				for a := 0; a < nAttrs; a++ {
-					rowBuf = append(rowBuf, ds.Cols[a][q])
+				if q != lastQ {
+					rowBuf, lastOff = captureRow(ds, q, rowBuf)
+					lastQ = q
 				}
-				moves = append(moves, gumMove{r: r, rowOff: off})
+				moves = append(moves, gumMove{r: r, rowOff: lastOff})
 				plan.dups++
 			} else {
 				moves = append(moves, gumMove{r: r, cell: u.Cell, rowOff: -1})
@@ -610,6 +614,21 @@ func planUpdateSparse(ds *dataset.Encoded, t *target, alpha, dupProb float64, sc
 		}
 	}
 	plan.moves, plan.rowBuf = moves, rowBuf
+}
+
+// captureRow appends source row q's codes to rowBuf for a duplicate
+// move and returns the grown buffer and the row's offset. Planning
+// reads the plan-time ds, which no move touches until applyPlan, so
+// the captured row depends on q alone: consecutive duplicates of the
+// same source share one capture.
+func captureRow(ds *dataset.Encoded, q int, rowBuf []int32) ([]int32, int) {
+	off := len(rowBuf)
+	rowBuf = slices.Grow(rowBuf, len(ds.Cols))[:off+len(ds.Cols)]
+	row := rowBuf[off:]
+	for a, col := range ds.Cols {
+		row[a] = col[q]
+	}
+	return rowBuf, off
 }
 
 // applyPlan executes one marginal's planned moves against the live

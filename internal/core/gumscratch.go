@@ -64,6 +64,11 @@ type gumScratch struct {
 	under   []cellGap // cells below target by more than gumDust
 	pool    []int     // movable rows drawn from over cells
 
+	// sortUnderByGap's radix keys and ping-pong buffers, grown to
+	// the largest under list seen.
+	gapKeys, gapKbuf []uint64
+	underBuf         []cellGap
+
 	// Dense arena, sized to the largest dense-eligible marginal's
 	// cell space. Exactly one of vals/vals32 is allocated (Cells32
 	// selects float32 cells, halving the arena's cache footprint);

@@ -13,8 +13,6 @@ type BoostConfig struct {
 	MaxDepth int
 	// LearningRate shrinks each tree's contribution.
 	LearningRate float64
-	// Thresholds caps candidate splits per feature.
-	Thresholds int
 	// Seed reserved for subsampling extensions.
 	Seed uint64
 }
@@ -38,9 +36,6 @@ func NewGradientBoosting(cfg BoostConfig) *GradientBoosting {
 	}
 	if cfg.LearningRate <= 0 {
 		cfg.LearningRate = 0.2
-	}
-	if cfg.Thresholds <= 0 {
-		cfg.Thresholds = 16
 	}
 	return &GradientBoosting{cfg: cfg}
 }
@@ -71,7 +66,7 @@ func (g *GradientBoosting) Fit(X [][]float64, y []int, k int) error {
 				}
 				resid[i] = target - probs[c]
 			}
-			tree := &regTree{maxDepth: g.cfg.MaxDepth, thresholds: g.cfg.Thresholds, minLeaf: 4}
+			tree := &regTree{maxDepth: g.cfg.MaxDepth, minLeaf: 4}
 			tree.fit(X, resid)
 			roundTrees[c] = tree
 		}
@@ -119,10 +114,9 @@ func softmaxInto(logits, out []float64) {
 // regTree is a small CART regression tree (variance-reduction splits,
 // mean-valued leaves) used as the boosting base learner.
 type regTree struct {
-	maxDepth   int
-	thresholds int
-	minLeaf    int
-	nodes      []regNode
+	maxDepth int
+	minLeaf  int
+	nodes    []regNode
 }
 
 type regNode struct {
@@ -181,6 +175,14 @@ func (t *regTree) leaf(v float64) int {
 // bestSplit maximizes the variance reduction (∝ sl²/nl + sr²/nr) with
 // a single sorted sweep per feature, evaluating every value boundary
 // in O(1) via running sums.
+//
+// Unlike DecisionTree, this keeps a per-node sort.Slice rather than
+// presorting once per fit: sl sums float residuals in sorted order,
+// so rows that tie on a feature value add up in whatever order the
+// sort leaves them, and a different tie order can round sl — hence a
+// score, a split and every later boosting round — differently. The
+// classification tree's sums are integer-valued and exact, which is
+// what lets it reuse one sort.
 func (t *regTree) bestSplit(X [][]float64, y []float64, idx []int) (feat int, thr float64, ok bool) {
 	d := len(X[0])
 	n := len(idx)

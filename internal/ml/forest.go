@@ -9,8 +9,8 @@ import (
 type ForestConfig struct {
 	// Trees is the ensemble size.
 	Trees int
-	// MaxDepth, MinLeaf, Thresholds configure each member tree.
-	MaxDepth, MinLeaf, Thresholds int
+	// MaxDepth and MinLeaf configure each member tree.
+	MaxDepth, MinLeaf int
 	// Seed drives bootstrapping and per-tree randomness.
 	Seed uint64
 }
@@ -54,11 +54,10 @@ func (f *RandomForest) Fit(X [][]float64, y []int, k int) error {
 			bx[i], by[i] = X[j], y[j]
 		}
 		tree := NewDecisionTree(TreeConfig{
-			MaxDepth:   f.cfg.MaxDepth,
-			MinLeaf:    f.cfg.MinLeaf,
-			Thresholds: f.cfg.Thresholds,
-			Features:   mtry,
-			Seed:       f.cfg.Seed + uint64(b)*2654435761,
+			MaxDepth: f.cfg.MaxDepth,
+			MinLeaf:  f.cfg.MinLeaf,
+			Features: mtry,
+			Seed:     f.cfg.Seed + uint64(b)*2654435761,
 		})
 		if err := tree.Fit(bx, by, k); err != nil {
 			return err
